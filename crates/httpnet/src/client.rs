@@ -555,8 +555,7 @@ impl Client {
 
     fn send_fresh(&self, req: &Request) -> Result<Response, ClientError> {
         let stream = self.connect()?;
-        let mut write_half = stream.try_clone().map_err(ClientError::Connect)?;
-        write_request(req, &mut write_half).map_err(|e| ClientError::Wire(WireError::Io(e)))?;
+        write_request(req, &mut &stream).map_err(|e| ClientError::Wire(WireError::Io(e)))?;
         let mut reader = BufReader::new(stream);
         read_response(&mut reader).map_err(ClientError::Wire)
     }

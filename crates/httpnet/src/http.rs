@@ -266,27 +266,17 @@ impl Response {
     /// Total serialized size in bytes (status line + headers + body) — the
     /// quantity the §3.1 account-probe inspects.
     pub fn wire_size(&self) -> usize {
-        let mut buf = Vec::new();
-        self.write_to(&mut buf).expect("vec write");
-        buf.len()
+        let mut head = Vec::new();
+        serialize_response_head(self, &mut head);
+        head.len() + self.body.len()
     }
 
-    /// Serialize to a writer (adds Content-Length and Connection headers
-    /// if absent).
+    /// Serialize to a writer in one write (adds Content-Length if absent).
     pub fn write_to<W: Write>(&self, w: &mut W) -> std::io::Result<()> {
-        write!(w, "HTTP/1.1 {}\r\n", self.status)?;
-        let mut has_len = false;
-        for (n, v) in self.headers.iter() {
-            if n.eq_ignore_ascii_case("content-length") {
-                has_len = true;
-            }
-            write!(w, "{n}: {v}\r\n")?;
-        }
-        if !has_len {
-            write!(w, "Content-Length: {}\r\n", self.body.len())?;
-        }
-        write!(w, "\r\n")?;
-        w.write_all(&self.body)
+        let mut buf = Vec::with_capacity(256 + self.body.len());
+        serialize_response_head(self, &mut buf);
+        buf.extend_from_slice(&self.body);
+        w.write_all(&buf)
     }
 }
 
@@ -461,21 +451,31 @@ pub fn read_response<R: BufRead>(r: &mut R) -> Result<Response, WireError> {
     Ok(Response { status: Status(code), headers, body })
 }
 
-/// Serialize a request to a writer.
+/// Serialize a request to a writer in a single `write_all`.
+///
+/// Clients set `TCP_NODELAY`, so every `write(2)` leaves as its own
+/// segment: a `write!` straight onto the socket would send each format
+/// piece separately and let the server wake on partial requests.
 pub fn write_request<W: Write>(req: &Request, w: &mut W) -> std::io::Result<()> {
-    write!(w, "{} {} HTTP/1.1\r\n", req.method, req.target)?;
-    let mut has_len = false;
-    for (n, v) in req.headers.iter() {
-        if n.eq_ignore_ascii_case("content-length") {
-            has_len = true;
-        }
-        write!(w, "{n}: {v}\r\n")?;
-    }
+    let mut buf = Vec::with_capacity(256 + req.body.len());
+    serialize_request(req, &mut buf);
+    w.write_all(&buf)
+}
+
+/// Serialize a request (request line, headers in insertion order, then
+/// the body) into `buf`. `Content-Length` is added only when the body is
+/// non-empty and the caller did not set the header.
+pub fn serialize_request(req: &Request, buf: &mut Vec<u8>) {
+    buf.extend_from_slice(req.method.as_bytes());
+    buf.push(b' ');
+    buf.extend_from_slice(req.target.as_bytes());
+    buf.extend_from_slice(b" HTTP/1.1\r\n");
+    let has_len = put_headers(&req.headers, buf);
     if !req.body.is_empty() && !has_len {
-        write!(w, "Content-Length: {}\r\n", req.body.len())?;
+        put_content_length(req.body.len(), buf);
     }
-    write!(w, "\r\n")?;
-    w.write_all(&req.body)
+    buf.extend_from_slice(b"\r\n");
+    buf.extend_from_slice(&req.body);
 }
 
 /// Serialize a response's status line and headers (adding
@@ -483,20 +483,30 @@ pub fn write_request<W: Write>(req: &Request, w: &mut W) -> std::io::Result<()> 
 /// server sends `[head, body]` as one vectored write instead of copying
 /// the body into a contiguous buffer.
 pub fn serialize_response_head(resp: &Response, buf: &mut Vec<u8>) {
-    use std::io::Write as _;
     // Writing into a Vec cannot fail.
     let _ = write!(buf, "HTTP/1.1 {}\r\n", resp.status);
-    let mut has_len = false;
-    for (n, v) in resp.headers.iter() {
-        if n.eq_ignore_ascii_case("content-length") {
-            has_len = true;
-        }
-        let _ = write!(buf, "{n}: {v}\r\n");
-    }
-    if !has_len {
-        let _ = write!(buf, "Content-Length: {}\r\n", resp.body.len());
+    if !put_headers(&resp.headers, buf) {
+        put_content_length(resp.body.len(), buf);
     }
     buf.extend_from_slice(b"\r\n");
+}
+
+/// Append `name: value\r\n` lines in order; reports whether one of them
+/// was `Content-Length`.
+fn put_headers(headers: &Headers, buf: &mut Vec<u8>) -> bool {
+    let mut has_len = false;
+    for (n, v) in headers.iter() {
+        has_len |= n.eq_ignore_ascii_case("content-length");
+        buf.extend_from_slice(n.as_bytes());
+        buf.extend_from_slice(b": ");
+        buf.extend_from_slice(v.as_bytes());
+        buf.extend_from_slice(b"\r\n");
+    }
+    has_len
+}
+
+fn put_content_length(len: usize, buf: &mut Vec<u8>) {
+    let _ = write!(buf, "Content-Length: {len}\r\n");
 }
 
 /// Incremental request parse straight off a connection's read buffer.
@@ -826,6 +836,113 @@ mod tests {
         let mut reassembled = head.clone();
         reassembled.extend_from_slice(&resp.body);
         assert_eq!(reassembled, full, "head + body must equal the streamed form");
+    }
+
+    /// A writer that records each `write` call it receives.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn conditional_get() -> Request {
+        let mut req = Request::get("/discussion/begin?url=https%3A%2F%2Fx.test%2Fa");
+        req.headers.add("Host", "sim.local");
+        req.headers.add("Cookie", "session=tok; nsfw=1");
+        req.headers.add("If-None-Match", "\"00ff\"");
+        req
+    }
+
+    fn post(body: &[u8]) -> Request {
+        let mut req = Request::get("/vote");
+        req.method = "POST".into();
+        req.headers.add("Host", "sim.local");
+        req.body = body.to_vec();
+        req
+    }
+
+    #[test]
+    fn write_request_makes_one_write_call() {
+        let mut get = Request::get("/user/a");
+        get.headers.add("Host", "sim.local");
+        for req in [get, conditional_get(), post(b"id=7&dir=up")] {
+            let mut w = CountingWriter::default();
+            write_request(&req, &mut w).unwrap();
+            assert_eq!(w.writes, 1, "{} {}", req.method, req.target);
+            let mut expect = Vec::new();
+            serialize_request(&req, &mut expect);
+            assert_eq!(w.bytes, expect);
+        }
+        let mut w = CountingWriter::default();
+        Response::html("<p>x</p>".into()).write_to(&mut w).unwrap();
+        assert_eq!(w.writes, 1, "a response also leaves in one write");
+    }
+
+    #[test]
+    fn serialize_request_golden_bytes() {
+        let golden = |req: &Request, expect: &str| {
+            let mut buf = Vec::new();
+            serialize_request(req, &mut buf);
+            assert_eq!(String::from_utf8(buf).unwrap(), expect);
+        };
+        golden(&Request::get("/"), "GET / HTTP/1.1\r\n\r\n");
+        golden(
+            &conditional_get(),
+            "GET /discussion/begin?url=https%3A%2F%2Fx.test%2Fa HTTP/1.1\r\n\
+             Host: sim.local\r\n\
+             Cookie: session=tok; nsfw=1\r\n\
+             If-None-Match: \"00ff\"\r\n\r\n",
+        );
+        // Content-Length is appended after the caller's headers when the
+        // body is non-empty and the header is missing ...
+        golden(
+            &post(b"id=7"),
+            "POST /vote HTTP/1.1\r\nHost: sim.local\r\nContent-Length: 4\r\n\r\nid=7",
+        );
+        // ... never for an empty body ...
+        golden(&post(b""), "POST /vote HTTP/1.1\r\nHost: sim.local\r\n\r\n");
+        // ... and never twice: a caller's header (any case) stays in place.
+        let mut req = post(b"abc");
+        req.headers = Headers::new();
+        req.headers.add("content-length", "3");
+        req.headers.add("Host", "sim.local");
+        golden(&req, "POST /vote HTTP/1.1\r\ncontent-length: 3\r\nHost: sim.local\r\n\r\nabc");
+    }
+
+    #[test]
+    fn serialize_response_head_golden_bytes() {
+        let head = |resp: &Response| {
+            let mut buf = Vec::new();
+            serialize_response_head(resp, &mut buf);
+            String::from_utf8(buf).unwrap()
+        };
+        let mut resp = Response::html("<p>hi</p>".into());
+        resp.headers.add("ETag", "\"aa\"");
+        assert_eq!(
+            head(&resp),
+            "HTTP/1.1 200 OK\r\nContent-Type: text/html; charset=utf-8\r\n\
+             ETag: \"aa\"\r\nContent-Length: 9\r\n\r\n"
+        );
+        // Unlike a request, an empty response body still gets a length.
+        assert_eq!(
+            head(&Response::status(Status(204))),
+            "HTTP/1.1 204 No Content\r\nContent-Length: 0\r\n\r\n"
+        );
+        let mut nm = Response::not_modified(Headers::new());
+        nm.headers.add("Content-Length", "0");
+        assert_eq!(head(&nm), "HTTP/1.1 304 Not Modified\r\nContent-Length: 0\r\n\r\n");
     }
 
     #[test]

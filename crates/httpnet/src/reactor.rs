@@ -296,8 +296,8 @@ impl Reactor {
             State::Writing => {
                 if mask & (EPOLLERR | EPOLLHUP) != 0 && mask & EPOLLOUT == 0 {
                     self.close(token);
-                } else {
-                    self.write_some(token);
+                } else if self.write_some(token) {
+                    self.advance(token);
                 }
             }
         }
@@ -337,9 +337,18 @@ impl Reactor {
         self.advance(token);
     }
 
-    /// Try to parse and serve the next request off the read buffer.
+    /// Serve requests off the read buffer until the connection must wait:
+    /// for more bytes, a fault delay, or the peer to drain. Buffered
+    /// pipelined requests are served by this loop, one iteration each,
+    /// so a deep pipeline costs no stack depth.
     fn advance(&mut self, token: usize) {
-        let Some(conn) = self.conns.get_mut(token).and_then(Option::as_mut) else { return };
+        while self.serve_next(token) {}
+    }
+
+    /// Try to parse and serve the next request off the read buffer.
+    /// Returns [`Self::write_some`]'s verdict.
+    fn serve_next(&mut self, token: usize) -> bool {
+        let Some(conn) = self.conns.get_mut(token).and_then(Option::as_mut) else { return false };
         debug_assert_eq!(conn.state, State::Reading);
         if !conn.read_buf.is_empty() && conn.request_started.is_none() {
             conn.request_started = Some(Instant::now());
@@ -351,6 +360,7 @@ impl Reactor {
                 // peer still runs out of `header_read_timeout`.
                 conn.deadline = Some(Instant::now() + self.shared.config.read_timeout);
                 self.set_interest(token, EPOLLIN | EPOLLRDHUP);
+                false
             }
             Err(_) => {
                 // Same contract as the blocking server: one 400, then close.
@@ -362,7 +372,7 @@ impl Reactor {
                 conn.written = 0;
                 conn.close_after_write = true;
                 conn.pending_log = None;
-                self.begin_write(token);
+                self.begin_write(token)
             }
             Ok(Some((req, consumed))) => {
                 // A complete request arrived in time; pipelined leftovers
@@ -379,14 +389,15 @@ impl Reactor {
                     let rest = conn.read_buf.len() - consumed;
                     conn.read_buf.truncate(rest);
                 }
-                self.serve(token, req);
+                self.serve(token, req)
             }
         }
     }
 
     /// Decide the fault action, run the handler, stage the response, and
-    /// either release it now or park it in the timer heap.
-    fn serve(&mut self, token: usize, req: Request) {
+    /// either release it now or park it in the timer heap. Returns
+    /// [`Self::write_some`]'s verdict when the response went out now.
+    fn serve(&mut self, token: usize, req: Request) -> bool {
         let shared = self.shared.clone();
         let started = Instant::now();
         let action = shared.injector.decide();
@@ -399,7 +410,7 @@ impl Reactor {
         // (response-to-send, raw-bytes-instead, counted, kill-connection)
         let mut raw: Option<Vec<u8>> = None;
         let mut kill = false;
-        let (delay, resp, counted) = match action {
+        let (delay, mut resp, counted) = match action {
             FaultAction::Proceed(d) | FaultAction::Stall(d) => {
                 (d, self.run_handler(&req), true)
             }
@@ -449,20 +460,20 @@ impl Reactor {
             ),
         };
 
-        let Some(conn) = self.conns.get_mut(token).and_then(Option::as_mut) else { return };
+        let Some(conn) = self.conns.get_mut(token).and_then(Option::as_mut) else { return false };
         conn.head.clear();
         conn.body.clear();
         conn.written = 0;
         conn.pending_log = None;
-        match (&resp, &raw) {
+        match (&mut resp, &raw) {
             (Some(resp), _) => {
                 serialize_response_head(resp, &mut conn.head);
-                conn.body = resp.body.clone();
+                conn.body = std::mem::take(&mut resp.body);
                 conn.pending_log = Some(PendingLog {
                     method: req.method,
                     target: req.target,
                     status: resp.status.0,
-                    body_len: resp.body.len(),
+                    body_len: conn.body.len(),
                     started,
                     counted,
                 });
@@ -474,7 +485,7 @@ impl Reactor {
         // by dropping the connection, like the old worker pool did.
         if resp.is_none() && raw.is_none() && !kill {
             self.close(token);
-            return;
+            return false;
         }
         conn.served += 1;
         conn.close_after_write = kill
@@ -482,14 +493,14 @@ impl Reactor {
             || conn.served >= shared.config.max_requests_per_conn;
 
         if delay.is_zero() {
-            self.begin_write(token);
-        } else {
-            conn.state = State::Delayed;
-            conn.deadline = None;
-            let gen = conn.gen;
-            self.timers.push(Reverse((started + delay, token, gen)));
-            self.set_interest(token, 0);
+            return self.begin_write(token);
         }
+        conn.state = State::Delayed;
+        conn.deadline = None;
+        let gen = conn.gen;
+        self.timers.push(Reverse((started + delay, token, gen)));
+        self.set_interest(token, 0);
+        false
     }
 
     /// Run the handler, confining panics. `None` means it panicked.
@@ -518,15 +529,16 @@ impl Reactor {
                 self.conns.get(token).and_then(Option::as_ref),
                 Some(c) if c.gen == gen && c.state == State::Delayed
             );
-            if live {
-                self.begin_write(token);
+            if live && self.begin_write(token) {
+                self.advance(token);
             }
         }
     }
 
-    /// Account the staged response and start flushing it.
-    fn begin_write(&mut self, token: usize) {
-        let Some(conn) = self.conns.get_mut(token).and_then(Option::as_mut) else { return };
+    /// Account the staged response and start flushing it. Returns
+    /// [`Self::write_some`]'s verdict.
+    fn begin_write(&mut self, token: usize) -> bool {
+        let Some(conn) = self.conns.get_mut(token).and_then(Option::as_mut) else { return false };
         if let Some(log) = conn.pending_log.take() {
             if log.counted {
                 self.shared.requests_served.fetch_add(1, Ordering::SeqCst);
@@ -542,13 +554,16 @@ impl Reactor {
         let conn = self.conns[token].as_mut().expect("checked");
         conn.state = State::Writing;
         conn.deadline = Some(Instant::now() + self.shared.config.write_timeout);
-        self.write_some(token);
+        self.write_some(token)
     }
 
     /// Push staged bytes to the socket; re-arm `EPOLLOUT` on a short write.
-    fn write_some(&mut self, token: usize) {
+    /// Returns `true` when the response is fully written and another
+    /// request is already buffered: the caller then runs [`Self::advance`]
+    /// (never this call chain, so pipelining cannot recurse).
+    fn write_some(&mut self, token: usize) -> bool {
         loop {
-            let Some(conn) = self.conns.get_mut(token).and_then(Option::as_mut) else { return };
+            let Some(conn) = self.conns.get_mut(token).and_then(Option::as_mut) else { return false };
             let total = conn.head.len() + conn.body.len();
             if conn.written >= total {
                 break;
@@ -568,42 +583,41 @@ impl Reactor {
             match result {
                 Ok(0) => {
                     self.close(token);
-                    return;
+                    return false;
                 }
                 Ok(n) => conn.written += n,
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                     self.set_interest(token, EPOLLOUT);
-                    return;
+                    return false;
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                 Err(_) => {
                     self.close(token);
-                    return;
+                    return false;
                 }
             }
         }
-        self.finish_write(token);
+        self.finish_write(token)
     }
 
-    /// The response is fully on the wire: close, serve the next pipelined
-    /// request, or go back to waiting for bytes.
-    fn finish_write(&mut self, token: usize) {
-        let Some(conn) = self.conns.get_mut(token).and_then(Option::as_mut) else { return };
+    /// The response is fully on the wire: close, or go back to reading.
+    /// Returns whether a pipelined request is already buffered.
+    fn finish_write(&mut self, token: usize) -> bool {
+        let Some(conn) = self.conns.get_mut(token).and_then(Option::as_mut) else { return false };
         if conn.close_after_write {
             self.close(token);
-            return;
+            return false;
         }
         conn.head.clear();
         conn.body = Vec::new();
         conn.written = 0;
         conn.state = State::Reading;
         conn.deadline = Some(Instant::now() + self.shared.config.read_timeout);
-        if conn.read_buf.is_empty() {
-            self.set_interest(token, EPOLLIN | EPOLLRDHUP);
-        } else {
-            // Pipelined request already buffered.
-            self.advance(token);
+        if !conn.read_buf.is_empty() {
+            return true;
         }
+        self.set_interest(token, EPOLLIN | EPOLLRDHUP);
+        false
     }
 
     fn set_interest(&mut self, token: usize, mask: u32) {

@@ -395,6 +395,38 @@ mod tests {
     }
 
     #[test]
+    fn deep_pipeline_is_served_in_order_without_recursion() {
+        // Thousands of requests land in the read buffer at once. Serving
+        // each buffered one a stack frame deeper than the last overflowed
+        // the reactor thread's stack and aborted the process.
+        use crate::http::read_response;
+        use std::io::{BufReader, Write};
+        const N: usize = 20_000;
+        let server = echo_server(ServerConfig {
+            workers: 1,
+            max_requests_per_conn: N,
+            ..Default::default()
+        });
+        let mut s = TcpStream::connect(server.addr()).unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+        let reader = BufReader::new(s.try_clone().unwrap());
+        let responses = std::thread::spawn(move || {
+            let mut reader = reader;
+            (0..N).map(|_| read_response(&mut reader).unwrap().text()).collect::<Vec<_>>()
+        });
+        let mut batch = Vec::new();
+        for i in 0..N {
+            batch.extend_from_slice(format!("GET /{i} HTTP/1.1\r\n\r\n").as_bytes());
+        }
+        s.write_all(&batch).unwrap();
+        let texts = responses.join().unwrap();
+        for (i, text) in texts.iter().enumerate() {
+            assert_eq!(text, &format!("echo:/{i}"));
+        }
+        assert_eq!(server.requests_served(), N as u64);
+    }
+
+    #[test]
     fn handler_panic_drops_connection_and_counts() {
         let registry = obs::Registry::new();
         let handler: Arc<dyn Handler> = Arc::new(|req: &Request| {
