@@ -1,8 +1,10 @@
 //! Benchmarks for the §3.5 classification stack: dictionary scoring,
 //! Perspective-style scoring (the Figure 4/7/8 hot path), featurization,
-//! ADASYN, and SVM training (the §3.5.3 experiment, E14).
+//! ADASYN, SVM training, and the full ADASYN + grid-search + 5-fold CV
+//! shape of the §3.5.3 experiment (E14).
 
 use classify::adasyn::{adasyn, AdasynConfig};
+use classify::cv::grid_search;
 use classify::svm::{Featurizer, LinearSvm, SparseVec, SvmConfig};
 use classify::{HateDictionary, PerspectiveModel};
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion, Throughput};
@@ -83,6 +85,14 @@ fn bench_training(c: &mut Criterion) {
             |s| black_box(adasyn(&s, 3, AdasynConfig::default())),
             BatchSize::LargeInput,
         );
+    });
+    // The experiment's grid exactly: 800 samples, 5 folds, 3 λ, ADASYN
+    // inside every fold.
+    let grid_samples = svm_samples(800);
+    g.bench_function("grid_5fold_3lambda_800", |b| {
+        let base = SvmConfig { epochs: 8, ..SvmConfig::default() };
+        let over = Some(AdasynConfig::default());
+        b.iter(|| black_box(grid_search(&grid_samples, 3, 5, &[1e-5, 1e-4, 1e-3], base, over, 7)));
     });
     g.bench_function("svm_train_1k_x3class", |b| {
         let cfg = SvmConfig { epochs: 5, ..SvmConfig::default() };

@@ -14,9 +14,10 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
 
-/// Shard size for the per-minority-sample passes. Small because each
-/// kNN scan is O(n) over the whole corpus; fixed so shard geometry (and
-/// with it the output) never depends on the worker count.
+/// Shard size for the neighbour scan and the synthesis pass. Small because
+/// each sample's distance row is n evaluations over the whole pool; fixed
+/// so shard geometry (and with it the output) never depends on the worker
+/// count.
 const ADASYN_SHARD: usize = 16;
 
 /// ADASYN parameters.
@@ -37,6 +38,17 @@ impl Default for AdasynConfig {
     }
 }
 
+/// One training split of a shared sample pool, oversampled on its own:
+/// the pool indices of its members (strictly ascending) and the ADASYN
+/// parameters, seed included, it oversamples with.
+#[derive(Debug, Clone)]
+pub struct TrainSplit {
+    /// Pool indices of the split's members, strictly ascending.
+    pub members: Vec<usize>,
+    /// ADASYN parameters for this split.
+    pub cfg: AdasynConfig,
+}
+
 /// Oversample `samples` (feature, label) so every class approaches the
 /// majority class count. Returns the input plus synthetic samples.
 /// Serial entry point; identical output to [`adasyn_sharded`] at any
@@ -45,37 +57,9 @@ pub fn adasyn(samples: &[(SparseVec, usize)], classes: usize, cfg: AdasynConfig)
     adasyn_sharded(samples, classes, cfg, 1)
 }
 
-/// k nearest neighbors of minority sample `i` among ALL samples:
-/// hardness r_i = fraction of those neighbors from other classes, plus
-/// the same-class neighbor indices used for interpolation.
-fn knn_scan(
-    samples: &[(SparseVec, usize)],
-    i: usize,
-    class: usize,
-    k: usize,
-) -> (f64, Vec<usize>) {
-    let mut dists: Vec<(f64, usize)> = (0..samples.len())
-        .filter(|&j| j != i)
-        .map(|j| (sq_dist(&samples[i].0, &samples[j].0), j))
-        .collect();
-    let k = k.min(dists.len());
-    let nth = k.saturating_sub(1).min(dists.len().saturating_sub(1));
-    dists.select_nth_unstable_by(nth, |a, b| {
-        a.0.partial_cmp(&b.0).expect("finite distances")
-    });
-    let neigh = &dists[..k];
-    let foreign = neigh.iter().filter(|(_, j)| samples[*j].1 != class).count();
-    let hardness = foreign as f64 / k.max(1) as f64;
-    let minority_neighbors = neigh
-        .iter()
-        .filter(|(_, j)| samples[*j].1 == class)
-        .map(|(_, j)| *j)
-        .collect();
-    (hardness, minority_neighbors)
-}
-
-/// [`adasyn`] with the O(n·k) neighbor scan and the synthesis pass
-/// sharded over `workers` threads.
+/// [`adasyn`] with the neighbour scan and the synthesis pass sharded over
+/// `workers` threads: the one-split case of [`adasyn_splits`]. The scan
+/// costs O(m·n) distance evaluations for m minority samples.
 ///
 /// Deterministic across worker counts: each minority sample `m` of a
 /// class draws from its own RNG stream seeded by
@@ -89,66 +73,204 @@ pub fn adasyn_sharded(
     cfg: AdasynConfig,
     workers: usize,
 ) -> Vec<(SparseVec, usize)> {
-    assert!(cfg.k >= 1, "k must be >= 1");
-    assert!(cfg.beta > 0.0 && cfg.beta <= 1.0, "beta must be in (0,1]");
-    let mut counts = vec![0usize; classes];
-    for (_, y) in samples {
-        counts[*y] += 1;
-    }
-    let majority = counts.iter().copied().max().unwrap_or(0);
-    let mut out: Vec<(SparseVec, usize)> = samples.to_vec();
+    let whole = TrainSplit { members: (0..samples.len()).collect(), cfg };
+    let mut out = adasyn_splits(samples, classes, std::slice::from_ref(&whole), workers);
+    out.pop().expect("one split in, one out")
+}
 
-    for (class, &class_count) in counts.iter().enumerate() {
-        let deficit = ((majority - class_count) as f64 * cfg.beta).round() as usize;
-        if deficit == 0 || class_count == 0 {
-            continue;
+/// A minority sample's neighbourhood within one split: its split-local
+/// index, hardness r_i (fraction of its k nearest split members from
+/// other classes) and the split-local indices of its same-class
+/// neighbours, used for interpolation.
+struct Neighbourhood {
+    local: usize,
+    hardness: f64,
+    neighbours: Vec<usize>,
+}
+
+/// Oversample every split of one sample pool, sharing the neighbour scan.
+///
+/// Output `i` is bit-identical to [`adasyn_sharded`] run on split `i`'s
+/// members cloned out in order, with `splits[i].cfg`: the members, then
+/// that split's synthetic samples. The splits share one pass over the
+/// samples that are minority in at least one split: each such sample's
+/// distance row to the whole pool is computed once, into a buffer reused
+/// across the shard, and every split containing it derives its k nearest
+/// members from that row. The per-split candidate list is rebuilt exactly
+/// as a per-split scan builds it (members ascending, the sample itself
+/// skipped, split-local indices), so neighbour selection, hardness and the
+/// RNG draws that follow are unchanged. The cost is one row (n distance
+/// evaluations) per needed sample, however many splits share it; memory is
+/// one row per worker plus at most k neighbour indices per
+/// (split, minority sample) — there is no n×n table.
+pub fn adasyn_splits(
+    samples: &[(SparseVec, usize)],
+    classes: usize,
+    splits: &[TrainSplit],
+    workers: usize,
+) -> Vec<Vec<(SparseVec, usize)>> {
+    let n = samples.len();
+    // Per split, the synthesis deficit of every class (0: none).
+    let deficits: Vec<Vec<usize>> = splits
+        .iter()
+        .map(|split| {
+            let cfg = split.cfg;
+            assert!(cfg.k >= 1, "k must be >= 1");
+            assert!(cfg.beta > 0.0 && cfg.beta <= 1.0, "beta must be in (0,1]");
+            assert!(
+                split.members.windows(2).all(|w| w[0] < w[1])
+                    && split.members.last().is_none_or(|&last| last < n),
+                "split members must be strictly ascending pool indices"
+            );
+            let mut counts = vec![0usize; classes];
+            for &i in &split.members {
+                counts[samples[i].1] += 1;
+            }
+            let majority = counts.iter().copied().max().unwrap_or(0);
+            counts
+                .iter()
+                .map(|&class_count| {
+                    if class_count == 0 {
+                        return 0;
+                    }
+                    ((majority - class_count) as f64 * cfg.beta).round() as usize
+                })
+                .collect()
+        })
+        .collect();
+
+    // Every sample that is minority in at least one split, ascending, with
+    // the (split, local index) pairs that need its neighbourhood.
+    let needed: Vec<(usize, Vec<(usize, usize)>)> = (0..n)
+        .filter_map(|g| {
+            let uses: Vec<(usize, usize)> = splits
+                .iter()
+                .enumerate()
+                .filter(|&(s, _)| deficits[s][samples[g].1] > 0)
+                .filter_map(|(s, split)| split.members.binary_search(&g).ok().map(|local| (s, local)))
+                .collect();
+            (!uses.is_empty()).then_some((g, uses))
+        })
+        .collect();
+
+    let scans: Vec<Vec<Neighbourhood>> =
+        shard::map_sharded(&needed, ADASYN_SHARD, workers, |_, shard| {
+            let mut row = vec![0f64; n];
+            let mut dists = Vec::new();
+            shard
+                .iter()
+                .map(|(g, uses)| {
+                    for (d, (x, _)) in row.iter_mut().zip(samples) {
+                        *d = sq_dist(&samples[*g].0, x);
+                    }
+                    uses.iter()
+                        .map(|&(s, local)| {
+                            let split = &splits[s];
+                            neighbourhood(samples, &split.members, &row, local, split.cfg.k, &mut dists)
+                        })
+                        .collect()
+                })
+                .collect()
+        });
+
+    // Regroup per (split, class). Split-local order follows pool order, so
+    // each list comes out in ascending minority position.
+    let mut minorities: Vec<Vec<Vec<Neighbourhood>>> =
+        splits.iter().map(|_| (0..classes).map(|_| Vec::new()).collect()).collect();
+    for ((g, uses), per_use) in needed.iter().zip(scans) {
+        for (&(s, _), hood) in uses.iter().zip(per_use) {
+            minorities[s][samples[*g].1].push(hood);
         }
-        let minority_idx: Vec<usize> =
-            (0..samples.len()).filter(|&i| samples[i].1 == class).collect();
-
-        let scans: Vec<(f64, Vec<usize>)> =
-            shard::map_sharded(&minority_idx, ADASYN_SHARD, workers, |_, shard| {
-                shard.iter().map(|&i| knn_scan(samples, i, class, cfg.k)).collect()
-            });
-        let total_hardness: f64 = scans.iter().map(|(h, _)| h).sum();
-
-        // Synthesis: per-minority-sample RNG streams, canonical order.
-        let synthetic: Vec<Vec<(SparseVec, usize)>> =
-            shard::map_sharded(&minority_idx, ADASYN_SHARD, workers, |shard_id, shard| {
-                shard
-                    .iter()
-                    .enumerate()
-                    .map(|(pos, &i)| {
-                        let m = shard_id * ADASYN_SHARD + pos;
-                        let (hardness, neighbors) = &scans[m];
-                        // Allocation: proportional to hardness; uniform if all easy.
-                        let share = if total_hardness > 0.0 {
-                            hardness / total_hardness
-                        } else {
-                            1.0 / minority_idx.len() as f64
-                        };
-                        let g = (share * deficit as f64).round() as usize;
-                        let sample_id = ((class as u64) << 32) | m as u64;
-                        let mut rng =
-                            StdRng::seed_from_u64(shard::stream_seed(cfg.seed, sample_id));
-                        let base = &samples[i].0;
-                        (0..g)
-                            .map(|_| {
-                                let synth = if neighbors.is_empty() {
-                                    base.clone() // isolated sample: duplicate
-                                } else {
-                                    let pick = neighbors[rng.gen_range(0..neighbors.len())];
-                                    lerp(base, &samples[pick].0, rng.gen::<f32>())
-                                };
-                                (synth, class)
-                            })
-                            .collect()
-                    })
-                    .collect()
-            });
-        out.extend(synthetic.into_iter().flatten());
     }
-    out
+
+    splits
+        .iter()
+        .zip(minorities)
+        .zip(&deficits)
+        .map(|((split, per_class), deficit)| {
+            let mut out: Vec<(SparseVec, usize)> =
+                split.members.iter().map(|&i| samples[i].clone()).collect();
+            for (class, minority) in per_class.iter().enumerate() {
+                if deficit[class] > 0 {
+                    out.extend(synthesize(samples, split, class, minority, deficit[class], workers));
+                }
+            }
+            out
+        })
+        .collect()
+}
+
+/// k nearest members of split-local sample `i` among the split's other
+/// members, from `row` (i's squared distance to every pool sample).
+/// `dists` is scratch space, reused across calls.
+fn neighbourhood(
+    samples: &[(SparseVec, usize)],
+    members: &[usize],
+    row: &[f64],
+    i: usize,
+    k: usize,
+    dists: &mut Vec<(f64, usize)>,
+) -> Neighbourhood {
+    let class = samples[members[i]].1;
+    dists.clear();
+    dists.extend(
+        members.iter().enumerate().filter(|&(j, _)| j != i).map(|(j, &g)| (row[g], j)),
+    );
+    let k = k.min(dists.len());
+    let nth = k.saturating_sub(1).min(dists.len().saturating_sub(1));
+    dists.select_nth_unstable_by(nth, |a, b| {
+        a.0.partial_cmp(&b.0).expect("finite distances")
+    });
+    let neigh = &dists[..k];
+    let label = |j: usize| samples[members[j]].1;
+    let foreign = neigh.iter().filter(|(_, j)| label(*j) != class).count();
+    let hardness = foreign as f64 / k.max(1) as f64;
+    let neighbours = neigh.iter().filter(|(_, j)| label(*j) == class).map(|(_, j)| *j).collect();
+    Neighbourhood { local: i, hardness, neighbours }
+}
+
+/// Synthetic samples for one minority `class` of one split: per-minority-
+/// sample RNG streams, canonical order.
+fn synthesize(
+    samples: &[(SparseVec, usize)],
+    split: &TrainSplit,
+    class: usize,
+    minority: &[Neighbourhood],
+    deficit: usize,
+    workers: usize,
+) -> Vec<(SparseVec, usize)> {
+    let total_hardness: f64 = minority.iter().map(|h| h.hardness).sum();
+    let member = |local: usize| &samples[split.members[local]].0;
+    shard::map_sharded(minority, ADASYN_SHARD, workers, |shard_id, shard| {
+        shard
+            .iter()
+            .enumerate()
+            .flat_map(|(pos, hood)| {
+                let m = shard_id * ADASYN_SHARD + pos;
+                // Allocation: proportional to hardness; uniform if all easy.
+                let share = if total_hardness > 0.0 {
+                    hood.hardness / total_hardness
+                } else {
+                    1.0 / minority.len() as f64
+                };
+                let g = (share * deficit as f64).round() as usize;
+                let sample_id = ((class as u64) << 32) | m as u64;
+                let mut rng = StdRng::seed_from_u64(shard::stream_seed(split.cfg.seed, sample_id));
+                let base = member(hood.local);
+                (0..g)
+                    .map(|_| {
+                        let synth = if hood.neighbours.is_empty() {
+                            base.clone() // isolated sample: duplicate
+                        } else {
+                            let pick = hood.neighbours[rng.gen_range(0..hood.neighbours.len())];
+                            lerp(base, member(pick), rng.gen::<f32>())
+                        };
+                        (synth, class)
+                    })
+                    .collect::<Vec<_>>()
+            })
+            .collect()
+    })
 }
 
 #[cfg(test)]
@@ -247,6 +369,69 @@ mod tests {
         let out = adasyn(&s, 3, AdasynConfig::default());
         let c2 = out.iter().filter(|(_, y)| *y == 2).count();
         assert!(c2 > 3);
+    }
+
+    /// A 3-class pool with spread-out features so neighbour sets differ
+    /// from split to split: class 0 is 40% of it, class 1 a third, class 2
+    /// the rest.
+    fn three_class_pool(n: usize) -> Vec<(SparseVec, usize)> {
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+            (state >> 40) as f32 / (1u64 << 24) as f32
+        };
+        (0..n)
+            .map(|i| {
+                let class = if i % 5 < 2 { 0 } else if i % 3 == 0 { 2 } else { 1 };
+                let base = class as u32 * 4;
+                let x = vec![(base, 0.5 + next()), (base + 1, next()), (13 + (i % 3) as u32, next())];
+                (x, class)
+            })
+            .collect()
+    }
+
+    fn bits(v: &[(SparseVec, usize)]) -> Vec<(Vec<(u32, u32)>, usize)> {
+        v.iter().map(|(x, y)| (x.iter().map(|&(i, f)| (i, f.to_bits())).collect(), *y)).collect()
+    }
+
+    #[test]
+    fn shared_scan_matches_per_split_adasyn_bit_for_bit() {
+        let pool = three_class_pool(90);
+        let cfg = |k, seed| AdasynConfig { k, beta: 1.0, seed };
+        let where_ = |keep: &dyn Fn(usize, usize) -> bool| -> Vec<usize> {
+            (0..pool.len()).filter(|&i| keep(i, pool[i].1)).collect()
+        };
+        let splits = vec![
+            // The whole pool: class 0 is majority.
+            TrainSplit { members: where_(&|_, _| true), cfg: cfg(5, 1) },
+            // Most of class 0 dropped: class 1 becomes the majority, so
+            // class 0 samples are minority here but not in the whole pool.
+            TrainSplit { members: where_(&|i, y| y != 0 || i % 4 == 0), cfg: cfg(5, 2) },
+            // No class 2 at all; half of class 1.
+            TrainSplit { members: where_(&|i, y| y == 0 || (y == 1 && i % 2 == 0)), cfg: cfg(3, 3) },
+            // Three samples with k = 7 ≥ split size.
+            TrainSplit { members: vec![0, 2, 5], cfg: cfg(7, 4) },
+            // A fold-shaped split with a partial beta.
+            TrainSplit { members: where_(&|i, _| i % 5 != 3), cfg: AdasynConfig { beta: 0.6, ..cfg(4, 5) } },
+        ];
+        for workers in [1, 2, 8] {
+            let shared = adasyn_splits(&pool, 3, &splits, workers);
+            assert_eq!(shared.len(), splits.len());
+            for (s, (split, out)) in splits.iter().zip(&shared).enumerate() {
+                let train: Vec<(SparseVec, usize)> =
+                    split.members.iter().map(|&i| pool[i].clone()).collect();
+                let alone = adasyn_sharded(&train, 3, split.cfg, 1);
+                assert!(out.len() > train.len(), "split {s} synthesized nothing");
+                assert_eq!(bits(out), bits(&alone), "split {s}, workers={workers}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "ascending")]
+    fn unsorted_split_members_panic() {
+        let split = TrainSplit { members: vec![3, 1], cfg: AdasynConfig::default() };
+        adasyn_splits(&three_class_pool(10), 3, &[split], 1);
     }
 
     #[test]

@@ -6,12 +6,15 @@
 //! oversampling before splitting would leak synthetic copies of test
 //! samples into training, inflating F1.
 //!
-//! Folds are independent given the fold assignment, so CV parallelizes
-//! per fold ([`cross_validate_sharded`]); each fold's ADASYN draws from
-//! its own seed stream split by the stable fold id ([`run_fold`]), so
-//! serial and sharded execution produce identical confusions.
+//! All folds are oversampled up front in one shared neighbour pass
+//! ([`adasyn_splits`]): every training split is a subset of the same
+//! corpus, so each sample's distance row is computed once, not once per
+//! fold and grid candidate. Each fold's ADASYN draws from its own seed
+//! stream split by the stable fold id ([`fold_splits`]), and the folds
+//! then train and score independently ([`run_fold`]), so serial and
+//! sharded execution produce identical confusions.
 
-use crate::adasyn::{adasyn_sharded, AdasynConfig};
+use crate::adasyn::{adasyn_splits, AdasynConfig, TrainSplit};
 use crate::metrics::Confusion;
 use crate::shard;
 use crate::svm::{LinearSvm, SparseVec, SvmConfig};
@@ -48,35 +51,51 @@ impl CvResult {
     }
 }
 
-/// Train on everything outside `fold` (ADASYN on the training split when
-/// `oversample` is set) and score the held-out fold.
-///
-/// The fold's ADASYN seed is split from the base config by the stable
-/// fold id — never the thread that runs the fold — so a pool executing
-/// folds in any order reproduces the serial confusion exactly.
+/// The k training splits of a fold assignment: split `f` holds every
+/// sample outside fold `f`, ascending, and oversamples with the ADASYN
+/// seed `stream_seed(cfg.seed, f)`. The seed is split by the stable fold
+/// id — never the thread that runs the fold — so a pool executing folds in
+/// any order reproduces the serial confusion exactly.
+pub fn fold_splits(folds: &[usize], k: usize, cfg: AdasynConfig) -> Vec<TrainSplit> {
+    (0..k)
+        .map(|fold| TrainSplit {
+            members: (0..folds.len()).filter(|&i| folds[i] != fold).collect(),
+            cfg: AdasynConfig { seed: shard::stream_seed(cfg.seed, fold as u64), ..cfg },
+        })
+        .collect()
+}
+
+/// Every fold's training set, in fold order: the training split, run
+/// through one shared ADASYN pass when `oversample` is set.
+fn training_sets(
+    samples: &[(SparseVec, usize)],
+    folds: &[usize],
+    k: usize,
+    classes: usize,
+    oversample: Option<AdasynConfig>,
+    workers: usize,
+) -> Vec<Vec<(SparseVec, usize)>> {
+    let splits = fold_splits(folds, k, oversample.unwrap_or_default());
+    match oversample {
+        Some(_) => adasyn_splits(samples, classes, &splits, workers),
+        None => splits
+            .iter()
+            .map(|split| split.members.iter().map(|&i| samples[i].clone()).collect())
+            .collect(),
+    }
+}
+
+/// Train on `train` — fold `fold`'s training split, already oversampled
+/// when the experiment oversamples — and score the held-out fold.
 pub fn run_fold(
     samples: &[(SparseVec, usize)],
     folds: &[usize],
     fold: usize,
     classes: usize,
     svm_cfg: SvmConfig,
-    oversample: Option<AdasynConfig>,
+    train: &[(SparseVec, usize)],
 ) -> Confusion {
-    let train: Vec<(SparseVec, usize)> = samples
-        .iter()
-        .zip(folds)
-        .filter(|(_, &f)| f != fold)
-        .map(|(s, _)| s.clone())
-        .collect();
-    let train = match oversample {
-        Some(cfg) => {
-            let fold_cfg =
-                AdasynConfig { seed: shard::stream_seed(cfg.seed, fold as u64), ..cfg };
-            adasyn_sharded(&train, classes, fold_cfg, 1)
-        }
-        None => train,
-    };
-    let model = LinearSvm::train(&train, classes, svm_cfg);
+    let model = LinearSvm::train(train, classes, svm_cfg);
     let mut confusion = Confusion::new(classes);
     for (s, &f) in samples.iter().zip(folds) {
         if f == fold {
@@ -113,11 +132,12 @@ pub fn cross_validate_sharded(
     workers: usize,
 ) -> CvResult {
     let folds = fold_assignment(samples.len(), k, seed);
+    let train = training_sets(samples, &folds, k, classes, oversample, workers);
     let fold_ids: Vec<usize> = (0..k).collect();
     let per_fold: Vec<Confusion> = shard::map_sharded(&fold_ids, 1, workers, |_, shard| {
         shard
             .iter()
-            .map(|&fold| run_fold(samples, &folds, fold, classes, svm_cfg, oversample))
+            .map(|&fold| run_fold(samples, &folds, fold, classes, svm_cfg, &train[fold]))
             .collect()
     });
     let mut confusion = Confusion::new(classes);
@@ -160,6 +180,9 @@ pub fn grid_search_sharded(
 ) -> Vec<CvResult> {
     assert!(!lambdas.is_empty(), "empty grid");
     let folds = fold_assignment(samples.len(), k, seed);
+    // Oversampling does not depend on λ: every candidate trains on the
+    // same k training sets.
+    let train = training_sets(samples, &folds, k, classes, oversample, workers);
     // Flatten to (candidate, fold) jobs so k-fold parallelism is not
     // capped at k when the grid has several candidates.
     let jobs: Vec<(usize, usize)> = (0..lambdas.len())
@@ -170,7 +193,7 @@ pub fn grid_search_sharded(
             .iter()
             .map(|&(c, fold)| {
                 let cfg = SvmConfig { lambda: lambdas[c], ..base };
-                run_fold(samples, &folds, fold, classes, cfg, oversample)
+                run_fold(samples, &folds, fold, classes, cfg, &train[fold])
             })
             .collect()
     });
@@ -273,6 +296,88 @@ mod tests {
         for workers in [2, 8] {
             let par = cross_validate_sharded(&s, 2, 3, cfg, over, 5, workers);
             assert_eq!(par.confusion, serial.confusion, "workers={workers}");
+        }
+    }
+
+    /// The grid search as it ran before the folds shared one ADASYN
+    /// pass: every (λ, fold) job clones its training split and
+    /// re-oversamples it on its own.
+    fn per_job_grid_reference(
+        samples: &[(SparseVec, usize)],
+        k: usize,
+        lambdas: &[f64],
+        base: SvmConfig,
+        oversample: AdasynConfig,
+        seed: u64,
+    ) -> Vec<CvResult> {
+        let folds = fold_assignment(samples.len(), k, seed);
+        let mut results: Vec<CvResult> = lambdas
+            .iter()
+            .map(|&lambda| {
+                let cfg = SvmConfig { lambda, ..base };
+                let mut confusion = Confusion::new(3);
+                for fold in 0..k {
+                    let train: Vec<(SparseVec, usize)> = samples
+                        .iter()
+                        .zip(&folds)
+                        .filter(|(_, &f)| f != fold)
+                        .map(|(s, _)| s.clone())
+                        .collect();
+                    let fold_cfg = AdasynConfig {
+                        seed: shard::stream_seed(oversample.seed, fold as u64),
+                        ..oversample
+                    };
+                    let train = crate::adasyn::adasyn(&train, 3, fold_cfg);
+                    let model = LinearSvm::train(&train, 3, cfg);
+                    for (s, &f) in samples.iter().zip(&folds) {
+                        if f == fold {
+                            confusion.add(s.1, model.predict(&s.0));
+                        }
+                    }
+                }
+                CvResult { confusion, config: cfg }
+            })
+            .collect();
+        results.sort_by(|a, b| b.weighted_f1().partial_cmp(&a.weighted_f1()).expect("finite F1"));
+        results
+    }
+
+    #[test]
+    fn oversampled_grid_matches_per_job_reference() {
+        // Three imbalanced, overlapping classes so ADASYN synthesizes in
+        // every fold and the confusions are not all perfect.
+        let mut s = Vec::new();
+        for i in 0..48 {
+            let j = (i % 11) as f32 * 0.05;
+            let class = if i % 8 == 0 { 2 } else if i % 3 == 0 { 1 } else { 0 };
+            s.push((fv(&[(class as u32, 1.0 + j), (3, 0.2 + j), (4 + (i % 2) as u32, 0.4)]), class));
+        }
+        let base = SvmConfig { dim: 16, epochs: 6, seed: 2, lambda: 0.0 };
+        let lambdas = [1e-4, 1e-2, 1.0];
+        let over = AdasynConfig { k: 4, beta: 1.0, seed: 9 };
+        let reference = per_job_grid_reference(&s, 4, &lambdas, base, over, 3);
+        for workers in [1, 2, 8] {
+            let got = grid_search_sharded(&s, 3, 4, &lambdas, base, Some(over), 3, workers);
+            assert_eq!(got.len(), reference.len());
+            for (a, b) in got.iter().zip(&reference) {
+                assert_eq!(a.confusion, b.confusion, "workers={workers}");
+                assert_eq!(a.config.lambda, b.config.lambda, "workers={workers}");
+            }
+        }
+    }
+
+    #[test]
+    fn fold_splits_hold_out_their_fold_and_split_the_seed() {
+        let folds = fold_assignment(20, 4, 1);
+        let cfg = AdasynConfig::default();
+        let splits = fold_splits(&folds, 4, cfg);
+        assert_eq!(splits.len(), 4);
+        for (fold, split) in splits.iter().enumerate() {
+            assert_eq!(split.members.len(), 15);
+            assert!(split.members.iter().all(|&i| folds[i] != fold));
+            assert!(split.members.windows(2).all(|w| w[0] < w[1]));
+            assert_eq!(split.cfg.seed, shard::stream_seed(cfg.seed, fold as u64));
+            assert_eq!((split.cfg.k, split.cfg.beta), (cfg.k, cfg.beta));
         }
     }
 

@@ -206,28 +206,39 @@ impl LinearSvm {
 
     /// Hard prediction: argmax margin.
     pub fn predict(&self, x: &SparseVec) -> usize {
-        let m = self.margins(x);
-        m.iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite margins"))
-            .map(|(i, _)| i)
-            .expect("at least one class")
+        argmax(&self.margins(x))
     }
 
     /// Softmax over margins — the per-class probabilities the paper
     /// computes for every comment.
     pub fn probabilities(&self, x: &SparseVec) -> Vec<f64> {
-        let m = self.margins(x);
-        let mx = m.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        let exps: Vec<f64> = m.iter().map(|v| (v - mx).exp()).collect();
-        let z: f64 = exps.iter().sum();
-        exps.into_iter().map(|e| e / z).collect()
+        softmax(&self.margins(x))
     }
 
     /// Number of classes.
     pub fn classes(&self) -> usize {
         self.classes
     }
+}
+
+/// Index of the largest margin: [`LinearSvm::predict`] from margins
+/// already computed.
+pub fn argmax(margins: &[f64]) -> usize {
+    margins
+        .iter()
+        .enumerate()
+        .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite margins"))
+        .map(|(i, _)| i)
+        .expect("at least one class")
+}
+
+/// Softmax over margins: [`LinearSvm::probabilities`] from margins
+/// already computed.
+pub fn softmax(margins: &[f64]) -> Vec<f64> {
+    let mx = margins.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+    let exps: Vec<f64> = margins.iter().map(|v| (v - mx).exp()).collect();
+    let z: f64 = exps.iter().sum();
+    exps.into_iter().map(|e| e / z).collect()
 }
 
 /// Pegasos for one binary (class vs rest) problem, with the scale-factor

@@ -129,7 +129,7 @@ pub const EXPERIMENTS: &[Experiment] = &[
         artifact: "§3.5.3 — SVM training & application",
         paper_result: "ADASYN + grid search + 5-fold CV → F1 = 0.87; class probabilities for all comments",
         modules: "synth::labeled, classify::{svm,adasyn,cv,metrics}",
-        bench: Some("classify_bench::training/svm_train_1k_x3class + ablations::ablation_adasyn/*"),
+        bench: Some("classify_bench::training/{svm_train_1k_x3class,grid_5fold_3lambda_800} + ablations::ablation_adasyn/*"),
     },
     Experiment {
         id: "runstats",

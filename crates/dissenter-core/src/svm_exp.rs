@@ -9,10 +9,10 @@
 //! id-ordered comment shards whose partial sums merge in canonical shard
 //! order — so the report is byte-identical at any worker count.
 
-use classify::adasyn::{adasyn_sharded, AdasynConfig};
-use classify::cv::{fold_assignment, run_fold, CvResult};
+use classify::adasyn::{adasyn_splits, AdasynConfig, TrainSplit};
+use classify::cv::{fold_assignment, fold_splits, run_fold, CvResult};
 use classify::shard;
-use classify::svm::{Featurizer, LinearSvm, SparseVec, SvmConfig};
+use classify::svm::{argmax, softmax, Featurizer, LinearSvm, SparseVec, SvmConfig};
 use classify::CommentClass;
 use crawler::CrawlStore;
 use std::sync::Arc;
@@ -78,25 +78,37 @@ pub fn run_svm_experiment_pooled(
             sh.iter().map(|s| (featurizer.featurize(&s.text), s.class.index())).collect()
         });
 
+    // Oversample the k fold training splits and the full corpus in one
+    // ADASYN pass: every split is a subset of the same corpus, so each
+    // sample's neighbour row is computed once for all of them, and the
+    // oversampled sets do not depend on λ.
+    let lambdas = [1e-5, 1e-4, 1e-3];
+    let base = SvmConfig { epochs: 8, seed, ..SvmConfig::default() };
+    let k = 5usize;
+    let oversample = AdasynConfig { k: 5, beta: 1.0, seed };
+    let folds = fold_assignment(samples.len(), k, seed ^ 0xF0F0);
+    let mut splits = fold_splits(&folds, k, oversample);
+    splits.push(TrainSplit { members: (0..samples.len()).collect(), cfg: oversample });
+    let mut train_sets = adasyn_splits(&samples, 3, &splits, workers);
+    let oversampled = train_sets.pop().expect("full-corpus split");
+
     // Grid search over λ with the flattened (candidate, fold) jobs
     // scattered onto the shared pool. Mirrors
     // [`classify::cv::grid_search_sharded`]: one fold assignment shared
     // across candidates, per-fold confusions merged in fold order per λ,
     // final sort by F1 — independent of scheduling.
-    let lambdas = [1e-5, 1e-4, 1e-3];
-    let base = SvmConfig { epochs: 8, seed, ..SvmConfig::default() };
-    let k = 5usize;
-    let oversample = Some(AdasynConfig { k: 5, beta: 1.0, seed });
-    let folds = Arc::new(fold_assignment(samples.len(), k, seed ^ 0xF0F0));
+    let folds = Arc::new(folds);
+    let train_sets = Arc::new(train_sets);
     let shared = Arc::new(samples);
     let jobs: Vec<_> = (0..lambdas.len())
         .flat_map(|c| (0..k).map(move |fold| (c, fold)))
         .map(|(c, fold)| {
             let samples = Arc::clone(&shared);
             let folds = Arc::clone(&folds);
+            let train_sets = Arc::clone(&train_sets);
             move || {
                 let cfg = SvmConfig { lambda: lambdas[c], ..base };
-                run_fold(&samples, &folds, fold, 3, cfg, oversample)
+                run_fold(&samples, &folds, fold, 3, cfg, &train_sets[fold])
             }
         })
         .collect();
@@ -123,8 +135,6 @@ pub fn run_svm_experiment_pooled(
         results.iter().map(|r| (r.config.lambda, r.weighted_f1())).collect();
 
     // Final model on the full (oversampled) corpus; apply to all comments.
-    let oversampled =
-        adasyn_sharded(&shared, 3, AdasynConfig { k: 5, beta: 1.0, seed }, workers);
     let model = Arc::new(LinearSvm::train(&oversampled, 3, best.config));
     let train_busy = train_started.elapsed();
 
@@ -132,26 +142,26 @@ pub fn run_svm_experiment_pooled(
     // sharded with fixed geometry so per-shard f64 partial sums merge
     // identically at any worker count.
     let apply_started = std::time::Instant::now();
-    let mut items: Vec<(ids::ObjectId, String)> =
-        store.comments.iter().map(|(id, c)| (*id, c.text.clone())).collect();
+    let mut items: Vec<(ids::ObjectId, &str)> =
+        store.comments.iter().map(|(id, c)| (*id, c.text.as_str())).collect();
     items.sort_unstable_by_key(|&(id, _)| id);
-    let texts: Vec<String> = items.into_iter().map(|(_, t)| t).collect();
+    let texts: Arc<[String]> = items.into_iter().map(|(_, t)| t.to_owned()).collect();
     let n = texts.len().max(1);
     let apply_jobs: Vec<_> = shard::shard_bounds(texts.len(), shard::DEFAULT_SHARD_SIZE)
         .into_iter()
         .map(|r| {
-            let chunk: Vec<String> = texts[r].to_vec();
+            let texts = Arc::clone(&texts);
             let model = Arc::clone(&model);
             move || {
                 let mut sums = [0.0f64; 3];
                 let mut counts = [0u64; 3];
-                for t in &chunk {
-                    let x = featurizer.featurize(t);
-                    let p = model.probabilities(&x);
+                for t in &texts[r] {
+                    let margins = model.margins(&featurizer.featurize(t));
+                    let p = softmax(&margins);
                     for k in 0..3 {
                         sums[k] += p[k];
                     }
-                    counts[model.predict(&x)] += 1;
+                    counts[argmax(&margins)] += 1;
                 }
                 (sums, counts)
             }
