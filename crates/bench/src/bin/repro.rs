@@ -2,19 +2,28 @@
 //!
 //! ```text
 //! repro [--scale small|medium|paper|<f64>] [--seed N] [--skip-svm]
+//!       [--out-of-core] [--budget-gib <f64>]
 //!       [--export <dir>] [--save-crawl <dir>] [all|<experiment-id>…]
 //! repro --list
 //! ```
 //!
 //! Runs the full pipeline (generate → serve over loopback HTTP → crawl →
 //! classify → analyze) once, then prints the requested artifacts.
+//!
+//! `--out-of-core` streams the world and spills the heavy report tables
+//! to disk; `--budget-gib` sets a peak-RSS ceiling that `run_study`
+//! checks at every stage boundary and every 100k streamed items,
+//! panicking (nonzero exit) with the stage named when it is crossed.
+//! The paper-scale run is `repro --scale paper --out-of-core
+//! --budget-gib 4`; CI runs the same command at `--scale 0.1` under
+//! `ulimit -v` as a smoke test.
 
 use bench::parse_scale;
 use dissenter_core::experiments::{by_id, EXPERIMENTS};
-use dissenter_core::{render, run_study, Study};
+use dissenter_core::{render, run_study, MemoryBudget, Study};
 
 fn usage() -> ! {
-    eprintln!("usage: repro [--scale small|medium|paper|<f64>] [--seed N] [--skip-svm] [--export <dir>] [--save-crawl <dir>] [all|<id>...]");
+    eprintln!("usage: repro [--scale small|medium|paper|<f64>] [--seed N] [--skip-svm] [--out-of-core] [--budget-gib <f64>] [--export <dir>] [--save-crawl <dir>] [all|<id>...]");
     eprintln!("       repro --list");
     std::process::exit(2);
 }
@@ -46,6 +55,13 @@ fn main() {
                 builder = builder.seed(v.parse().unwrap_or_else(|_| usage()));
             }
             "--skip-svm" => builder = builder.svm(false),
+            "--out-of-core" => builder = builder.out_of_core(true),
+            "--budget-gib" => {
+                let v = args.next().unwrap_or_else(|| usage());
+                let gib = v.parse().ok().filter(|g: &f64| g.is_finite() && *g > 0.0);
+                let gib = gib.unwrap_or_else(|| usage());
+                builder = builder.memory_budget(MemoryBudget::gib(gib));
+            }
             "--export" => {
                 let v = args.next().unwrap_or_else(|| usage());
                 export_dir = Some(std::path::PathBuf::from(v));
@@ -80,9 +96,10 @@ fn main() {
     let start = std::time::Instant::now();
     let study = run_study(&cfg);
     eprintln!(
-        "pipeline complete in {:.1}s ({} comments crawled)",
+        "pipeline complete in {:.1}s ({} comments crawled, peak RSS {:.0} MiB)",
         start.elapsed().as_secs_f64(),
-        study.report.overview.comments
+        study.report.overview.comments,
+        study.runstats.peak_rss_bytes as f64 / (1u64 << 20) as f64
     );
 
     for w in wanted {

@@ -1,10 +1,6 @@
-//! Benchmark support: shared fixtures for the Criterion benches, the
-//! `repro` harness binary that regenerates every table and figure, the
-//! [`loadgen`] closed-loop load generator behind `BENCH_PR5.json`, and
-//! the [`abusegen`] hostile-load generator behind `BENCH_PR8.json`.
-
-pub mod abusegen;
-pub mod loadgen;
+//! Benchmark support: the shared fixture for the Criterion benches and
+//! the `repro` harness binary that regenerates every table and figure.
+//! Performance is measured by the repository benchmark, `perfbench/`.
 
 use dissenter_core::{run_study, Study};
 use std::sync::OnceLock;

@@ -13,7 +13,7 @@ pub struct Experiment {
     pub paper_result: &'static str,
     /// Implementing modules.
     pub modules: &'static str,
-    /// Criterion bench target, when one exists.
+    /// Criterion bench target or benchmark command, when one exists.
     pub bench: Option<&'static str>,
 }
 
@@ -136,7 +136,7 @@ pub const EXPERIMENTS: &[Experiment] = &[
         artifact: "run statistics — stage timings, crawl coverage, scorer throughput",
         paper_result: "not a paper artifact: the observability report for the run itself",
         modules: "obs::*, dissenter_core::runstats, render::runstats",
-        bench: Some("scripts/bench.sh → BENCH_PR2.json"),
+        bench: Some("perfbench: python3 perfbench/run.py --workload study --trace 1"),
     },
     Experiment {
         id: "simcheck",

@@ -4,15 +4,24 @@
 //! keep-alive, and simple retry with backoff — the operational behaviors
 //! the paper's crawl needed (timeout monitoring + re-requests, §4.3.1;
 //! rate-limit sleeps, §3.4).
+//!
+//! A keep-alive client is blocking, so it has at most one connection in
+//! use at a time. Between requests that connection waits in a single
+//! idle slot; it goes back there only after a successful exchange (a
+//! failed one leaves the socket in an unknown wire state), and a slot
+//! idle longer than 30 s is closed instead of reused.
 
 use crate::cache::RevalidationCache;
-use crate::cpool::ConnPool;
 use crate::http::{read_response, write_request, Request, Response, Status, WireError};
 use crate::retry::{classify_status, parse_retry_after, RetryPolicy, StatusClass};
 use std::fmt;
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
+
+/// An idle keep-alive connection older than this is closed instead of
+/// reused.
+const IDLE_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Client-side failure.
 #[derive(Debug)]
@@ -136,7 +145,6 @@ pub struct ClientBuilder {
     inst: Option<Instrument>,
     reval: Option<RevalidationCache>,
     policy: RetryPolicy,
-    pool: Option<ConnPool>,
 }
 
 impl ClientBuilder {
@@ -182,20 +190,13 @@ impl ClientBuilder {
         self
     }
 
-    /// Share a keep-alive [`ConnPool`] with other clients. Without this
-    /// the client gets a private pool with default knobs.
-    pub fn pool(mut self, pool: ConnPool) -> Self {
-        self.pool = Some(pool);
-        self
-    }
-
     /// Finish construction.
     pub fn build(self) -> Client {
         Client {
             addr: self.addr,
             timeout: self.timeout,
             keep_alive: self.keep_alive,
-            pool: self.pool.unwrap_or_default(),
+            idle: None,
             cookies: self.cookies,
             inst: self.inst,
             reval: self.reval,
@@ -209,7 +210,9 @@ pub struct Client {
     addr: SocketAddr,
     timeout: Duration,
     keep_alive: bool,
-    pool: ConnPool,
+    /// The keep-alive connection between requests, with the instant it
+    /// went idle.
+    idle: Option<(BufReader<TcpStream>, Instant)>,
     /// Cookies sent with every request as `name=value` pairs.
     cookies: Vec<(String, String)>,
     inst: Option<Instrument>,
@@ -236,13 +239,7 @@ impl Client {
             inst: None,
             reval: None,
             policy: RetryPolicy::default(),
-            pool: None,
         }
-    }
-
-    /// The keep-alive connection pool backing [`Client::get_keep_alive`].
-    pub fn pool(&self) -> &ConnPool {
-        &self.pool
     }
 
     /// Report request metrics into `registry` under the endpoint class
@@ -361,7 +358,7 @@ impl Client {
     }
 
     /// Issue a GET over the persistent connection (establishing one on
-    /// demand; transparently reconnecting once if the pooled connection
+    /// demand; transparently reconnecting once if the idle connection
     /// died).
     pub fn get_keep_alive(&mut self, target: &str) -> Result<Response, ClientError> {
         if !self.keep_alive {
@@ -369,7 +366,7 @@ impl Client {
         }
         let (req, ctx) = self.prepare_get(target);
         let started = Instant::now();
-        // Counted as ONE wire attempt even when a stale pooled connection
+        // Counted as ONE wire attempt even when a stale idle connection
         // forces a transparent resend — staleness depends on scheduling,
         // and counters must replay identically for identical seeds.
         let mut result = self.send_pooled(&req);
@@ -407,22 +404,21 @@ impl Client {
         result
     }
 
-    /// Send over the pool: check out a (possibly reused) connection,
-    /// transparently retrying once on a fresh one if the exchange fails —
-    /// a reused socket may have been closed server-side at any point.
-    /// Only a successful exchange returns the connection to the pool.
+    /// Send on the idle connection when it is younger than
+    /// [`IDLE_TIMEOUT`] (otherwise on a fresh one), transparently
+    /// retrying once on a fresh connection if the exchange fails — a
+    /// reused socket may have been closed server-side at any point.
     fn send_pooled(&mut self, req: &Request) -> Result<Response, ClientError> {
-        let (conn, _reused) =
-            self.pool.acquire(self.addr, self.timeout).map_err(ClientError::Connect)?;
+        let conn = match self.idle.take() {
+            Some((conn, since)) if since.elapsed() <= IDLE_TIMEOUT => conn,
+            _ => BufReader::new(self.connect()?),
+        };
         match self.send_on_conn(conn, req) {
             Ok(r) => Ok(r),
             Err(_) => {
-                // Stale pooled connection (or transient failure): one
+                // Stale idle connection (or transient failure): one
                 // retry on a fresh connection, still ONE logical request.
-                let fresh = self
-                    .pool
-                    .connect_fresh(self.addr, self.timeout)
-                    .map_err(ClientError::Connect)?;
+                let fresh = BufReader::new(self.connect()?);
                 self.send_on_conn(fresh, req)
             }
         }
@@ -561,10 +557,10 @@ impl Client {
     }
 
     /// One request/response exchange on `conn`. On success the connection
-    /// is checked back into the pool; on failure it is dropped (its wire
-    /// state is unknown).
+    /// goes into the idle slot; on failure it is dropped (its wire state
+    /// is unknown).
     fn send_on_conn(
-        &self,
+        &mut self,
         mut conn: BufReader<TcpStream>,
         req: &Request,
     ) -> Result<Response, ClientError> {
@@ -577,7 +573,7 @@ impl Client {
         }
         match read_response(&mut conn) {
             Ok(r) => {
-                self.pool.release(self.addr, conn);
+                self.idle = Some((conn, Instant::now()));
                 Ok(r)
             }
             Err(e) => Err(ClientError::Wire(e)),
@@ -895,62 +891,50 @@ mod tests {
         assert_eq!(renders.load(Ordering::SeqCst), 3);
     }
 
+    /// The local port of the connection waiting in the idle slot — the
+    /// peer port the server sees for it.
+    fn idle_port(client: &Client) -> u16 {
+        let (conn, _) = client.idle.as_ref().expect("a connection is idle");
+        conn.get_ref().local_addr().unwrap().port()
+    }
+
     #[test]
-    fn pooled_keep_alive_reconciles_with_server_requests_served() {
-        // Lifecycle satellite: every logical request rides exactly one
-        // pooled checkout, so open + reuse == server.requests_served.
+    fn keep_alive_gets_ride_one_connection() {
         let handler: Arc<dyn Handler> = Arc::new(|_: &Request| Response::html("pong".into()));
         let server = Server::start(handler, ServerConfig::default()).unwrap();
         let mut client = Client::builder(server.addr()).keep_alive(true).build();
+        let mut ports = std::collections::BTreeSet::new();
         for _ in 0..10 {
             assert_eq!(client.get_keep_alive("/p").unwrap().text(), "pong");
+            ports.insert(idle_port(&client));
         }
-        let stats = client.pool().stats();
-        assert_eq!(stats.open, 1, "one connect for the whole run");
-        assert_eq!(stats.reuse, 9);
-        assert_eq!(stats.open + stats.reuse, server.requests_served());
+        assert_eq!(ports.len(), 1, "one connect for the whole run: {ports:?}");
+        assert_eq!(server.requests_served(), 10);
     }
 
     #[test]
-    fn shared_pool_reuses_across_client_instances() {
+    fn idle_expired_connection_is_not_reused() {
         let handler: Arc<dyn Handler> = Arc::new(|_: &Request| Response::html("pong".into()));
         let server = Server::start(handler, ServerConfig::default()).unwrap();
-        let pool = crate::cpool::ConnPool::new(crate::cpool::PoolConfig::default());
-        for _ in 0..3 {
-            // A fresh Client per sweep, as the crawler builds them.
-            let mut client =
-                Client::builder(server.addr()).keep_alive(true).pool(pool.clone()).build();
-            assert_eq!(client.get_keep_alive("/p").unwrap().text(), "pong");
-        }
-        let stats = pool.stats();
-        assert_eq!(stats.open, 1, "later clients reuse the first client's connection");
-        assert_eq!(stats.reuse, 2);
+        let mut client = Client::builder(server.addr()).keep_alive(true).build();
+        client.get_keep_alive("/p").unwrap();
+        let cold = idle_port(&client);
+        // Backdate the slot past the idle timeout instead of sleeping 30 s.
+        let since = &mut client.idle.as_mut().unwrap().1;
+        *since = since.checked_sub(IDLE_TIMEOUT + Duration::from_secs(1)).unwrap();
+        client.get_keep_alive("/p").unwrap();
+        assert_ne!(idle_port(&client), cold, "cold connection closed, not reused");
+        let warm = idle_port(&client);
+        client.get_keep_alive("/p").unwrap();
+        assert_eq!(idle_port(&client), warm, "a fresh idle connection is reused");
+        assert_eq!(server.requests_served(), 3);
     }
 
     #[test]
-    fn pool_idle_timeout_evicts_between_requests() {
-        let handler: Arc<dyn Handler> = Arc::new(|_: &Request| Response::html("pong".into()));
-        let server = Server::start(handler, ServerConfig::default()).unwrap();
-        let pool = crate::cpool::ConnPool::new(crate::cpool::PoolConfig {
-            idle_timeout: Duration::from_millis(20),
-            ..Default::default()
-        });
-        let mut client =
-            Client::builder(server.addr()).keep_alive(true).pool(pool.clone()).build();
-        client.get_keep_alive("/p").unwrap();
-        std::thread::sleep(Duration::from_millis(60));
-        client.get_keep_alive("/p").unwrap();
-        let stats = pool.stats();
-        assert_eq!(stats.evicted, 1, "cold connection evicted, not reused");
-        assert_eq!(stats.open, 2);
-        assert_eq!(stats.reuse, 0);
-    }
-
-    #[test]
-    fn transparent_retry_reconciles_pool_and_server_counters() {
+    fn transparent_retry_reconciles_client_and_server_counters() {
         // Server closes after every request, so each logical request
-        // after the first burns one stale reuse and opens one fresh
-        // connection — yet requests/served counters see one request each.
+        // after the first finds the idle connection stale and ends on a
+        // fresh one — yet requests/served counters see one request each.
         let handler: Arc<dyn Handler> = Arc::new(|_: &Request| Response::html("pong".into()));
         let cfg = ServerConfig { max_requests_per_conn: 1, ..Default::default() };
         let server = Server::start(handler, cfg).unwrap();
@@ -959,12 +943,12 @@ mod tests {
             .keep_alive(true)
             .metrics(&registry, "ka")
             .build();
+        let mut ports = std::collections::BTreeSet::new();
         for _ in 0..4 {
             assert_eq!(client.get_keep_alive("/p").unwrap().text(), "pong");
+            ports.insert(idle_port(&client));
         }
-        let stats = client.pool().stats();
-        assert_eq!(stats.open, 4, "every logical request ends on a fresh connection");
-        assert_eq!(stats.reuse, 3, "stale checkouts before each transparent retry");
+        assert_eq!(ports.len(), 4, "every logical request ends on a fresh connection");
         assert_eq!(server.requests_served(), 4, "server saw exactly the logical requests");
         assert_eq!(registry.snapshot().counter("http.ka.requests"), Some(4));
     }

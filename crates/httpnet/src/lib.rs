@@ -37,7 +37,6 @@
 
 pub mod cache;
 pub mod client;
-pub mod cpool;
 pub mod fault;
 pub mod http;
 pub mod log;
@@ -50,7 +49,6 @@ pub mod sys;
 
 pub use cache::{CacheConfig, ResponseCache, RevalidationCache};
 pub use client::{Client, ClientBuilder, ClientError};
-pub use cpool::{ConnPool, PoolConfig, PoolStats};
 pub use fault::{FaultAction, FaultConfig, FaultInjector};
 pub use http::{format_etag, if_none_match, Headers, Request, Response, Status};
 pub use log::{AccessEntry, AccessLog};

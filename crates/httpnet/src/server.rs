@@ -1,12 +1,13 @@
 //! The event-driven HTTP server.
 //!
 //! An accept loop on a dedicated thread feeds accepted connections
-//! round-robin to `workers` epoll reactors (see [`crate::reactor`]); each
-//! reactor multiplexes its connections on a readiness loop with
-//! per-connection state machines, so a stalled or fault-delayed peer
-//! never pins a thread. Transient `accept()` failures (EMFILE during a
-//! connection flood) back off exponentially instead of spinning hot, and
-//! are counted under `accept.errors` when a metrics registry is set.
+//! round-robin to `workers` epoll reactors (the private `reactor`
+//! module); each reactor multiplexes its connections on a readiness
+//! loop with per-connection state machines, so a stalled or
+//! fault-delayed peer never pins a thread. Transient `accept()`
+//! failures (EMFILE during a connection flood) back off exponentially
+//! instead of spinning hot, and are counted under `accept.errors` when
+//! a metrics registry is set.
 //! Shutdown is cooperative: a flag is set, the accept loop is woken with
 //! a self-connection, and every reactor is woken through its eventfd.
 
@@ -595,6 +596,9 @@ mod tests {
         }
         let val = Linger { onoff: 1, linger: 0 };
         // SOL_SOCKET = 1, SO_LINGER = 13 on linux.
+        // SAFETY: the kernel reads `size_of::<Linger>()` bytes from
+        // `val`, a live `struct linger` on this stack frame; `s` keeps
+        // the fd open for the whole call.
         let ret = unsafe {
             let fd = s.as_raw_fd() as usize;
             let level = 1usize;
@@ -606,6 +610,13 @@ mod tests {
         assert_eq!(ret, 0, "setsockopt(SO_LINGER) failed");
     }
 
+    /// Raw `setsockopt(2)`, returning the kernel's result (`-errno` on
+    /// failure).
+    ///
+    /// # Safety
+    ///
+    /// `optval` must point to `optlen` bytes that stay readable for the
+    /// duration of the call.
     #[cfg(target_arch = "x86_64")]
     unsafe fn syscall_setsockopt(
         fd: usize,
@@ -615,6 +626,9 @@ mod tests {
         optlen: usize,
     ) -> isize {
         let ret: isize;
+        // SAFETY: x86_64 Linux syscall ABI (rax number; rdi, rsi, rdx,
+        // r10, r8 arguments; rcx and r11 clobbered, as declared); the
+        // kernel only reads `optval`, per the caller's contract.
         std::arch::asm!(
             "syscall",
             inlateout("rax") 54isize => ret, // __NR_setsockopt
@@ -629,6 +643,7 @@ mod tests {
         ret
     }
 
+    /// See the x86_64 variant for the safety contract.
     #[cfg(target_arch = "aarch64")]
     unsafe fn syscall_setsockopt(
         fd: usize,
@@ -638,6 +653,9 @@ mod tests {
         optlen: usize,
     ) -> isize {
         let ret: isize;
+        // SAFETY: aarch64 Linux syscall ABI (x8 number, x0–x4 arguments,
+        // x0 result); the kernel only reads `optval`, per the caller's
+        // contract.
         std::arch::asm!(
             "svc 0",
             inlateout("x8") 208isize => _, // __NR_setsockopt
@@ -648,6 +666,19 @@ mod tests {
             in("x4") optlen,
         );
         ret
+    }
+
+    #[test]
+    fn setsockopt_on_a_bad_fd_returns_an_error() {
+        const EBADF: isize = 9;
+        let val: i32 = 1;
+        let optval = &val as *const i32 as usize;
+        let size = std::mem::size_of::<i32>();
+        // An fd number far above any RLIMIT_NOFILE is never open, so
+        // this cannot touch another test's socket. SOL_SOCKET/SO_LINGER.
+        // SAFETY: `val` is a live i32 and `size` is its size.
+        let ret = unsafe { syscall_setsockopt(i32::MAX as usize, 1, 13, optval, size) };
+        assert_eq!(ret, -EBADF);
     }
 
     #[test]

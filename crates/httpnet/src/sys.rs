@@ -8,8 +8,13 @@
 //!
 //! Only the two architectures this project is built on are wired up;
 //! adding another is a table of syscall numbers away.
-
-#![allow(clippy::missing_safety_doc)]
+//!
+//! Every `unsafe` block below carries a `SAFETY:` note. The shared
+//! argument: the kernel validates fds and flags and reports misuse as
+//! `-errno` (surfaced as `Err`, never undefined behaviour); the only
+//! obligations left to Rust are that pointer arguments reference live
+//! memory of the size the syscall reads or writes, and that an fd is
+//! closed only by its owner.
 
 use std::io;
 use std::os::fd::RawFd;
@@ -47,9 +52,21 @@ compile_error!(
 
 /// Issue a raw 6-argument syscall, returning the kernel's raw result
 /// (negative values encode `-errno`).
+///
+/// # Safety
+///
+/// `n` must be a syscall this module's callers intend, and every
+/// argument the syscall dereferences must point to memory that is valid
+/// for the kernel to read (or write) at that size for the duration of
+/// the call. A syscall that closes or replaces an fd must only be given
+/// an fd the caller owns.
 #[cfg(target_arch = "x86_64")]
 unsafe fn syscall6(n: usize, a: usize, b: usize, c: usize, d: usize, e: usize, f: usize) -> isize {
     let ret: isize;
+    // SAFETY: the x86_64 Linux syscall ABI: number in rax, arguments in
+    // rdi/rsi/rdx/r10/r8/r9, result in rax; the instruction clobbers only
+    // rcx and r11 (declared) and touches no stack (`nostack`). Memory
+    // safety of the arguments is the caller's contract above.
     core::arch::asm!(
         "syscall",
         inlateout("rax") n as isize => ret,
@@ -66,9 +83,14 @@ unsafe fn syscall6(n: usize, a: usize, b: usize, c: usize, d: usize, e: usize, f
     ret
 }
 
+/// See the x86_64 variant for the safety contract.
 #[cfg(target_arch = "aarch64")]
 unsafe fn syscall6(n: usize, a: usize, b: usize, c: usize, d: usize, e: usize, f: usize) -> isize {
     let ret: isize;
+    // SAFETY: the aarch64 Linux syscall ABI: number in x8, arguments in
+    // x0–x5, result in x0; `svc 0` clobbers no other register and
+    // touches no stack (`nostack`). Memory safety of the arguments is
+    // the caller's contract above.
     core::arch::asm!(
         "svc 0",
         in("x8") n,
@@ -159,12 +181,17 @@ pub struct Epoll {
 impl Epoll {
     /// `epoll_create1(EPOLL_CLOEXEC)`.
     pub fn new() -> io::Result<Epoll> {
+        // SAFETY: epoll_create1 takes only a flags word and dereferences
+        // no memory; the returned fd is owned by the new `Epoll`.
         let fd = cvt(unsafe { syscall6(nr::EPOLL_CREATE1, EPOLL_CLOEXEC, 0, 0, 0, 0, 0) })?;
         Ok(Epoll { fd: fd as RawFd })
     }
 
     fn ctl(&self, op: i32, fd: RawFd, events: u32, token: u64) -> io::Result<()> {
         let ev = EpollEvent { events, data: token };
+        // SAFETY: `ev` is a live `epoll_event` with the kernel's layout
+        // for the whole call, and the kernel only reads it. `self.fd` is
+        // owned by `self`; a bad `fd` is reported as EBADF.
         cvt(unsafe {
             syscall6(
                 nr::EPOLL_CTL,
@@ -199,6 +226,9 @@ impl Epoll {
     /// `EINTR` is retried internally.
     pub fn wait(&self, events: &mut [EpollEvent], timeout_ms: i32) -> io::Result<usize> {
         loop {
+            // SAFETY: the kernel writes at most `events.len()` entries
+            // into `events`, a live, exclusively borrowed buffer with the
+            // kernel's `epoll_event` layout; the sigmask pointer is NULL.
             let ret = unsafe {
                 syscall6(
                     nr::EPOLL_PWAIT,
@@ -221,6 +251,8 @@ impl Epoll {
 
 impl Drop for Epoll {
     fn drop(&mut self) {
+        // SAFETY: `self.fd` is owned by this `Epoll` and closed exactly
+        // once, here; close dereferences no memory.
         let _ = unsafe { syscall6(nr::CLOSE, self.fd as usize, 0, 0, 0, 0, 0) };
     }
 }
@@ -237,6 +269,9 @@ pub struct EventFd {
 impl EventFd {
     /// `eventfd2(0, EFD_CLOEXEC | EFD_NONBLOCK)`.
     pub fn new() -> io::Result<EventFd> {
+        // SAFETY: eventfd2 takes an initial count and flags and
+        // dereferences no memory; the returned fd is owned by the new
+        // `EventFd`.
         let fd =
             cvt(unsafe { syscall6(nr::EVENTFD2, 0, EFD_CLOEXEC | EFD_NONBLOCK, 0, 0, 0, 0) })?;
         Ok(EventFd { fd: fd as RawFd })
@@ -251,6 +286,9 @@ impl EventFd {
     /// counter saturating is fine — one pending wake is enough.
     pub fn wake(&self) {
         let one: u64 = 1;
+        // SAFETY: the kernel reads exactly 8 bytes from `one`, a live u64
+        // on this stack frame. Errors (EAGAIN at a saturated counter,
+        // EBADF) are ignored by design.
         let _ = unsafe {
             syscall6(nr::WRITE, self.fd as usize, &one as *const u64 as usize, 8, 0, 0, 0)
         };
@@ -259,6 +297,8 @@ impl EventFd {
     /// Drain pending wakeups so the next `wake` edge is observable.
     pub fn drain(&self) {
         let mut buf: u64 = 0;
+        // SAFETY: the kernel writes exactly 8 bytes into `buf`, a live,
+        // exclusively borrowed u64. EAGAIN (nothing pending) is ignored.
         let _ = unsafe {
             syscall6(nr::READ, self.fd as usize, &mut buf as *mut u64 as usize, 8, 0, 0, 0)
         };
@@ -267,6 +307,8 @@ impl EventFd {
 
 impl Drop for EventFd {
     fn drop(&mut self) {
+        // SAFETY: `self.fd` is owned by this `EventFd` and closed exactly
+        // once, here; close dereferences no memory.
         let _ = unsafe { syscall6(nr::CLOSE, self.fd as usize, 0, 0, 0, 0, 0) };
     }
 }
@@ -341,6 +383,65 @@ mod tests {
 
         ef.drain();
         assert_eq!(ep.wait(&mut events, 0).unwrap(), 0, "drained");
+    }
+
+    // epoll_create1 and eventfd2 fail only when the process is out of
+    // fds; the workspace test `tests/fd_exhaustion.rs` checks that they
+    // return EMFILE there.
+
+    /// An fd number no process can hold (`RLIMIT_NOFILE` is far lower),
+    /// so using it can never hit another test's descriptor.
+    const NEVER_OPEN: RawFd = i32::MAX;
+    const EBADF: i32 = 9;
+    const ENOENT: i32 = 2;
+    const EEXIST: i32 = 17;
+    const EINVAL: i32 = 22;
+
+    #[test]
+    fn epoll_ctl_errors_are_returned_not_panicked() {
+        let ep = Epoll::new().unwrap();
+        let errno = |r: io::Result<()>| r.unwrap_err().raw_os_error();
+        assert_eq!(errno(ep.add(NEVER_OPEN, EPOLLIN, 1)), Some(EBADF));
+        assert_eq!(errno(ep.add(-1, EPOLLIN, 1)), Some(EBADF));
+        let ef = EventFd::new().unwrap();
+        assert_eq!(errno(ep.modify(ef.fd(), EPOLLIN, 1)), Some(ENOENT), "not registered yet");
+        assert_eq!(errno(ep.delete(ef.fd())), Some(ENOENT), "not registered yet");
+        ep.add(ef.fd(), EPOLLIN, 1).unwrap();
+        assert_eq!(errno(ep.add(ef.fd(), EPOLLIN, 1)), Some(EEXIST));
+        assert_eq!(errno(ep.add(ep.fd, EPOLLIN, 1)), Some(EINVAL), "an epoll cannot watch itself");
+    }
+
+    #[test]
+    fn epoll_wait_errors_are_returned_not_panicked() {
+        let ep = Epoll::new().unwrap();
+        // maxevents must be positive.
+        let err = ep.wait(&mut [], 0).unwrap_err();
+        assert_eq!(err.raw_os_error(), Some(EINVAL));
+        // A descriptor that is not open: EBADF from wait, and the drop's
+        // close fails with EBADF too, silently.
+        let bogus = Epoll { fd: NEVER_OPEN };
+        let mut events = [EpollEvent::default(); 1];
+        assert_eq!(bogus.wait(&mut events, 0).unwrap_err().raw_os_error(), Some(EBADF));
+        drop(bogus);
+    }
+
+    #[test]
+    fn eventfd_errors_are_ignored_not_panicked() {
+        // Draining an eventfd with nothing pending is EAGAIN, ignored.
+        let ef = EventFd::new().unwrap();
+        ef.drain();
+        // A descriptor that is not open: write, read and close all fail
+        // with EBADF, and each failure is swallowed.
+        let bogus = EventFd { fd: NEVER_OPEN };
+        bogus.wake();
+        bogus.drain();
+        drop(bogus);
+        // The real one still works afterwards.
+        let ep = Epoll::new().unwrap();
+        ep.add(ef.fd(), EPOLLIN, 3).unwrap();
+        ef.wake();
+        let mut events = [EpollEvent::default(); 1];
+        assert_eq!(ep.wait(&mut events, 1000).unwrap(), 1);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Seeded hostile-load generator: composable abuse profiles driven
-//! concurrently with a well-behaved loadgen baseline (the `abusegen`
-//! binary's `BENCH_PR8.json`, and the simcheck `abuse.*` oracle family).
+//! concurrently with a well-behaved closed-loop baseline — the traffic
+//! the `abuse.*` oracle family ([`crate::oracle`]) checks.
 //!
 //! Each [`Profile`] is one adversarial client population:
 //!
@@ -15,7 +15,7 @@
 //!   repeated miss storms through the front cache's single-flight;
 //! * [`Profile::ValidatorReplay`] — cache-poisoning probes replaying a
 //!   shadow session's validator from an anonymous connection (extending
-//!   the PR5 shadow-isolation probe to sustained hostile load);
+//!   the conformance suite's shadow-isolation probe to sustained hostile load);
 //! * [`Profile::PipelineFlood`] — batched HTTP/1.1 pipelined floods that
 //!   ride keep-alive connections into the per-connection request cap;
 //! * [`Profile::GreedyScraper`] — a swarm hammering the rate-limited
@@ -33,14 +33,13 @@
 //! budget, one honoring `X-RateLimit-Reset`, one hammering through
 //! penalized lockouts — the polite collector must acquire more.
 
-use crate::loadgen::{run, LoadConfig, LoadSummary, Mode};
 use httpnet::http::{read_response, write_request};
-use httpnet::{Request, Response, Status};
+use httpnet::{Client, Request, Response, RevalidationCache, Status};
 use std::collections::HashMap;
 use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Barrier, Mutex};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 /// One adversarial client population.
@@ -659,23 +658,90 @@ pub fn run_profile(
     merged.into_inner().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
+/// Closed-loop polite clients in [`run_mixed`]'s baseline.
+const POLITE_THREADS: usize = 2;
+/// Measured requests per polite client.
+const POLITE_REQUESTS: usize = 60;
+/// Unmeasured requests per polite client before the measured window, so
+/// connections are open and both caches are filled when it starts.
+const POLITE_WARMUP: usize = 10;
+
+/// The polite baseline's measured window.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PoliteSummary {
+    /// Requests that completed with a 2xx (or a 304 resolved from the
+    /// revalidation cache).
+    pub requests: u64,
+    /// Requests that errored or returned a non-success status.
+    pub failures: u64,
+    /// 99th-percentile request latency, microseconds.
+    pub p99_us: u64,
+}
+
+/// The well-behaved baseline: 2 keep-alive clients sharing one
+/// revalidation cache, each walking `targets` round-robin from its own
+/// offset and issuing its next request only after the previous one
+/// completes. Every client first sends 10 unmeasured requests; all then
+/// meet at a barrier and only the next 60 each are measured.
+pub fn polite_load(addr: SocketAddr, targets: &[String]) -> PoliteSummary {
+    assert!(!targets.is_empty(), "the polite load needs at least one target");
+    let reval = RevalidationCache::new(targets.len() * 4);
+    let latencies: Mutex<Vec<u64>> = Mutex::new(Vec::new());
+    let failures = AtomicU64::new(0);
+    let warmed = Barrier::new(POLITE_THREADS);
+    std::thread::scope(|scope| {
+        for t in 0..POLITE_THREADS {
+            let (reval, latencies, failures, warmed) = (&reval, &latencies, &failures, &warmed);
+            scope.spawn(move || {
+                let mut client = Client::builder(addr)
+                    .keep_alive(true)
+                    .revalidation_cache(reval.clone())
+                    .build();
+                for i in 0..POLITE_WARMUP {
+                    let _ = client.get_keep_alive(&targets[(t + i) % targets.len()]);
+                }
+                warmed.wait();
+                let mut local = Vec::with_capacity(POLITE_REQUESTS);
+                for i in 0..POLITE_REQUESTS {
+                    let sent = Instant::now();
+                    match client.get_keep_alive(&targets[(t + i) % targets.len()]) {
+                        Ok(resp) if resp.status.is_success() => {
+                            local.push(sent.elapsed().as_micros() as u64);
+                        }
+                        _ => {
+                            failures.fetch_add(1, Ordering::Relaxed);
+                        }
+                    }
+                }
+                latencies.lock().unwrap_or_else(std::sync::PoisonError::into_inner).extend(local);
+            });
+        }
+    });
+    let mut lat = latencies.into_inner().unwrap_or_else(std::sync::PoisonError::into_inner);
+    lat.sort_unstable();
+    let p99_us = match lat.len() {
+        0 => 0,
+        n => lat[((n - 1) as f64 * 0.99).round() as usize],
+    };
+    PoliteSummary { requests: lat.len() as u64, failures: failures.into_inner(), p99_us }
+}
+
 /// One mixed run's outcome: the polite baseline's measurements beside
 /// the hostile population's books.
 #[derive(Debug, Clone)]
 pub struct MixedOutcome {
     /// The well-behaved closed-loop baseline, measured mid-abuse.
-    pub polite: LoadSummary,
+    pub polite: PoliteSummary,
     /// The hostile population's merged books.
     pub abuse: AbuseCounts,
 }
 
-/// Drive `profile` concurrently with a polite loadgen baseline: abuse
-/// threads start first (with a short ramp so the measured window is
-/// fully contested), the baseline is measured, and the abuse runs at
-/// least `hold` from phase start before being stopped (slow defenses —
-/// header budgets, write deadlines — need wall time to fire even when
-/// the polite baseline finishes quickly).
-#[allow(clippy::too_many_arguments)]
+/// Drive `profile` concurrently with the [`polite_load`] baseline on
+/// `polite_targets`: abuse threads start first (with a short ramp so the
+/// measured window is fully contested), the baseline is measured, and
+/// the abuse runs at least `hold` from phase start before being stopped
+/// (slow defenses — header budgets, write deadlines — need wall time to
+/// fire even when the polite baseline finishes quickly).
 pub fn run_mixed(
     addr: SocketAddr,
     profile: Profile,
@@ -683,7 +749,6 @@ pub fn run_mixed(
     shadow: Option<&ShadowProbe>,
     cfg: &AbuseConfig,
     polite_targets: &[String],
-    polite: &LoadConfig,
     hold: Duration,
 ) -> MixedOutcome {
     let started = Instant::now();
@@ -692,7 +757,7 @@ pub fn run_mixed(
     std::thread::scope(|scope| {
         let abuse_handle = scope.spawn(|| run_profile(addr, profile, targets, shadow, cfg, &stop));
         std::thread::sleep(Duration::from_millis(100)); // ramp: contention before measurement
-        let polite = run(addr, polite_targets, polite, Mode::Cached);
+        let polite = polite_load(addr, polite_targets);
         if let Some(rest) = hold.checked_sub(started.elapsed()) {
             std::thread::sleep(rest);
         }
@@ -840,6 +905,28 @@ mod tests {
             metrics: Some(registry.clone()),
             ..ServerConfig::default()
         }
+    }
+
+    #[test]
+    fn polite_load_measures_only_the_steady_state_window() {
+        let world = small_world();
+        let services =
+            webfront::SimServices::start(world.clone(), crawler::default_server_config())
+                .expect("services start");
+        let mut names: Vec<String> =
+            world.dissenter_users().map(|i| world.user(i).username.clone()).collect();
+        names.sort_unstable();
+        let targets: Vec<String> = names.iter().take(3).map(|n| format!("/user/{n}")).collect();
+        let summary = polite_load(services.dissenter.addr(), &targets);
+        assert_eq!(summary.failures, 0, "loopback load must not fail: {summary:?}");
+        let measured = (POLITE_THREADS * POLITE_REQUESTS) as u64;
+        assert_eq!(summary.requests, measured, "warm-up requests must not be counted");
+        assert_eq!(
+            services.dissenter.requests_served(),
+            (POLITE_THREADS * (POLITE_WARMUP + POLITE_REQUESTS)) as u64,
+            "every warm-up and measured request reached the server once"
+        );
+        assert!(summary.p99_us > 0, "{summary:?}");
     }
 
     #[test]

@@ -78,7 +78,7 @@ fn describe(sc: &Scenario) -> String {
         if sc.abuse_conns > 0 {
             format!(
                 ", abuse {}x{}",
-                bench::abusegen::Profile::from_index(sc.abuse_profile).name(),
+                simcheck::abusegen::Profile::from_index(sc.abuse_profile).name(),
                 sc.abuse_conns
             )
         } else {

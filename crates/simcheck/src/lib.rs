@@ -14,7 +14,7 @@
 //! and demands recovery + resume reproduce the uninterrupted run byte
 //! for byte, all the way through the rendered report and CSV exports.
 //! A seeded hostile-traffic profile rides along too: the `abuse.*`
-//! family drives it ([`bench::abusegen`]) against hardened services
+//! family drives it ([`abusegen`]) against hardened services
 //! concurrently with a polite load and demands no starvation, no
 //! shadow-visibility leaks, and exact request/limiter reconciliation.
 //!
@@ -30,6 +30,7 @@
 //! cargo run --release -p simcheck -- --count 50 --start 1
 //! ```
 
+pub mod abusegen;
 pub mod oracle;
 pub mod replay;
 pub mod scenario;

@@ -31,7 +31,7 @@
 //!    output. Recovery itself must be idempotent: opening a killed
 //!    journal twice — torn tail or not — yields the same state.
 //! 7. **adversarial traffic** (`abuse.*`) — the scenario's seeded abuse
-//!    profile ([`bench::abusegen`]) driven against hardened services
+//!    profile ([`crate::abusegen`]) driven against hardened services
 //!    concurrently with a polite load must leave the polite client
 //!    inside its starvation envelope, leak nothing across the shadow
 //!    boundary, and reconcile every request — client-side books and the
@@ -451,7 +451,7 @@ fn longitudinal_sweeps(sc: &Scenario) -> Result<(), Failure> {
 /// Oracle 7: adversarial traffic. Serves the scenario's world through a
 /// hardened [`webfront::SimServices`] stack — tight header/write
 /// deadlines, a short penalty-enabled per-URL rate limit, metrics wired
-/// — then drives the scenario's seeded [`bench::abusegen::Profile`]
+/// — then drives the scenario's seeded [`crate::abusegen::Profile`]
 /// with `abuse_conns` hostile connections concurrently with a polite
 /// closed-loop load, plus a greedy burst on the rate-limited route so
 /// penalties always engage. Demands:
@@ -471,7 +471,7 @@ fn longitudinal_sweeps(sc: &Scenario) -> Result<(), Failure> {
 ///   header and write deadlines actually fired, and defense closes
 ///   cover every hostile close the clients observed.
 fn abuse_traffic(sc: &Scenario) -> Result<(), Failure> {
-    use bench::abusegen::{
+    use crate::abusegen::{
         greedy_collect, run_mixed, shadow_probe, AbuseConfig, AbuseCounts, AbuseTargets, Profile,
     };
     use std::sync::Arc;
@@ -530,12 +530,6 @@ fn abuse_traffic(sc: &Scenario) -> Result<(), Failure> {
         conn_deadline: Duration::from_millis(1200),
         ..AbuseConfig::default()
     };
-    let polite = bench::loadgen::LoadConfig {
-        threads: 2,
-        requests_per_thread: 60,
-        warmup_per_thread: 10,
-        ..bench::loadgen::LoadConfig::default()
-    };
     let outcome = run_mixed(
         addr,
         profile,
@@ -543,7 +537,6 @@ fn abuse_traffic(sc: &Scenario) -> Result<(), Failure> {
         shadow.as_ref(),
         &abuse_cfg,
         &polite_targets,
-        &polite,
         Duration::from_millis(2200),
     );
     // A short greedy burst on the rate-limited route regardless of

@@ -74,7 +74,7 @@ pub struct Scenario {
     /// Kill with a torn (half-written) final WAL record instead of a
     /// clean cut, exercising tail truncation on recovery.
     pub torn_tail: bool,
-    /// Which [`bench::abusegen::Profile`] the `abuse.*` family drives
+    /// Which [`crate::abusegen::Profile`] the `abuse.*` family drives
     /// (index into `Profile::ALL`, reduced modulo its length).
     pub abuse_profile: u8,
     /// Hostile connections per abuse profile. `0` disables the
